@@ -6,11 +6,8 @@ from repro.core import RevealingLCP
 from repro.experiments import run_experiment
 from repro.graphs import cycle_graph, path_graph
 from repro.local import Instance
-from repro.neighborhood import (
-    build_extraction_decoder,
-    hiding_verdict_up_to,
-    run_extraction,
-)
+from repro.engine import decide_hiding
+from repro.neighborhood import build_extraction_decoder, run_extraction
 
 
 def test_lem32_experiment(benchmark):
@@ -20,7 +17,7 @@ def test_lem32_experiment(benchmark):
 
 def test_revealing_sweep_and_compile(benchmark):
     def compile_decoder():
-        verdict = hiding_verdict_up_to(RevealingLCP(), 4)
+        verdict = decide_hiding(RevealingLCP(), 4)
         return build_extraction_decoder(verdict.ngraph, 2)
 
     decoder = benchmark.pedantic(compile_decoder, rounds=1, iterations=1)
@@ -29,7 +26,7 @@ def test_revealing_sweep_and_compile(benchmark):
 
 def test_extraction_execution(benchmark):
     lcp = RevealingLCP()
-    verdict = hiding_verdict_up_to(lcp, 4)
+    verdict = decide_hiding(lcp, 4)
     decoder = build_extraction_decoder(verdict.ngraph, 2)
     instance = Instance.build(cycle_graph(4), id_bound=4)
     labeled = instance.with_labeling(lcp.prover.certify(instance))
@@ -39,7 +36,7 @@ def test_extraction_execution(benchmark):
 
 def test_extraction_table_lookup_throughput(benchmark):
     lcp = RevealingLCP()
-    verdict = hiding_verdict_up_to(lcp, 4)
+    verdict = decide_hiding(lcp, 4)
     decoder = build_extraction_decoder(verdict.ngraph, 2)
     instance = Instance.build(path_graph(4), id_bound=4)
     labeled = instance.with_labeling(lcp.prover.certify(instance))

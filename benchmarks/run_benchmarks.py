@@ -13,9 +13,9 @@ Writes two JSON reports:
     caches cleared first (what a fresh process pays).
   - **serial_warm** — the optimized pipeline again, caches populated
     (what every subsequent sweep in the same process pays).
-  - **parallel_N** — the process-pool builder at 2 and 4 workers.
-    On a single-core host these rows are *skipped* (recorded with a
-    note): they would measure pure pool overhead, not parallelism.
+
+  Parallel sweeps are measured by the **sharding** section below (the
+  sharded process pool is the one parallel route).
 
   A **kernel** section compares the scalar streaming sweep with the
   vectorized batch kernel (:mod:`repro.kernel`) on cold full sweeps,
@@ -28,7 +28,7 @@ Writes two JSON reports:
   same repeats); every vectorized row records ``kernel``,
   ``numpy_version``, its speedup, and a view/edge/count parity check.
   Without numpy the vectorized rows are recorded as *skipped* with a
-  note (mirroring the single-core ``parallel_N`` convention).
+  note (mirroring the single-core ``sharded_parallel_N`` convention).
 
   A **generation** section targets the generation-bound path: the same
   cold symmetry-on sweeps for ``even-cycle`` at ``n = 6, 7`` with the
@@ -133,7 +133,6 @@ from repro.neighborhood.aviews import yes_instances_up_to
 from repro.neighborhood.hiding import hiding_verdict_from_instances
 from repro.obs import RunReport, Tracer, sentinel, validate_report
 from repro.perf import GLOBAL_STATS, PerfStats, clear_shared_caches, overridden
-from repro.perf.parallel import build_neighborhood_graph_parallel
 from repro.symmetry import (
     SymmetryAccount,
     automorphism_group,
@@ -356,14 +355,13 @@ def _pruning_ratio(stats: PerfStats) -> float:
     return round(stats.get("symmetry_labelings_pruned") / total, 4)
 
 
-def _record(name, n, best, mean, graph, stats, reference=None, workers=None):
-    cpus = os.cpu_count() or 1
+def _record(name, n, best, mean, graph, stats, reference=None):
     entry = {
         "regime": name,
         "n": n,
         "seconds_best": round(best, 6),
         "seconds_mean": round(mean, 6),
-        "workers_effective": min(workers, cpus) if workers else 1,
+        "workers_effective": 1,
         "views": len(graph.views),
         "edges": len(graph.edges),
         "instances_scanned": graph.instances_scanned,
@@ -453,53 +451,6 @@ def run(n: int) -> list[dict]:
         "serial_warm", n, lambda stats, tracer: _sweep_serial(lcp, n, stats, tracer)
     )
 
-    cpus = os.cpu_count() or 1
-    for workers in (2, 4):
-        if cpus <= 1:
-            rows.append(
-                {
-                    "regime": f"parallel_{workers}",
-                    "n": n,
-                    "skipped": True,
-                    "skip_reason": "single_core_host",
-                    "cpu_count": cpus,
-                    "note": (
-                        "single-core host: a process pool can only measure "
-                        "pool overhead here, not parallelism"
-                    ),
-                    "workers_effective": 1,
-                }
-            )
-            continue
-        par_stats = PerfStats()
-        best, mean, par_graph = _timed(
-            lambda: build_neighborhood_graph_parallel(
-                lcp, yes_instances_up_to(lcp, n), workers=workers, stats=par_stats
-            )
-        )
-        rows.append(
-            _record(
-                f"parallel_{workers}",
-                n,
-                best,
-                mean,
-                par_graph,
-                par_stats,
-                reference=baseline,
-                workers=workers,
-            )
-        )
-        rows[-1]["report"] = _traced_sweep_report(
-            f"parallel_{workers}",
-            n,
-            lambda stats, tracer: build_neighborhood_graph_parallel(
-                lcp,
-                yes_instances_up_to(lcp, n),
-                workers=workers,
-                stats=stats,
-                tracer=tracer,
-            ),
-        )
     return rows
 
 
@@ -1089,8 +1040,8 @@ def run_hiding(n: int) -> list[dict]:
     rows = []
 
     def materialized():
-        # include_all_accepted_labelings=True matches the streaming
-        # engine's (and hiding_verdict_up_to's) default enumeration.
+        # include_all_accepted_labelings=True matches the engine's
+        # default enumeration.
         instances = yes_instances_up_to(lcp, n, include_all_accepted_labelings=True)
         return hiding_verdict_from_instances(lcp, instances, exhaustive=True)
 
@@ -1494,8 +1445,8 @@ def run_sharding() -> dict:
     the work-stealing process pool.  Parallel rows run only when the
     host can actually parallelize (``cpu_count > 1``) or when
     ``REPRO_FORCE_WORKERS`` forces the pool; otherwise they are recorded
-    as *skipped* with ``skip_reason`` (the single-core convention of the
-    ``parallel_N`` pipeline rows).  Every executed sharded row is
+    as *skipped* with ``skip_reason`` (a process pool on one core can
+    only measure pool overhead, not parallelism).  Every executed sharded row is
     parity-checked against the serial reference — identical decision
     fingerprint and effective instance count — and records the
     ``shard_count`` / ``steal_count`` / ``shards_per_sec`` provenance

@@ -141,9 +141,9 @@ def run_campaign(
         schemes=list(spec.schemes),
         trace_id=ctx.tracer.trace_id if ctx.tracer.active else None,
     )
-    # One process pool for the whole campaign: parallel cells (chunked
-    # builds, sharded sweeps) reuse it via repro.perf.pool.active_pool
-    # instead of paying pool spawn/teardown per cell.
+    # One process pool for the whole campaign: sharded cells reuse it
+    # via repro.perf.pool.active_pool instead of paying pool
+    # spawn/teardown per cell.
     pool_scope = (
         shared_pool(base.workers)
         if base.workers is not None and base.workers > 1

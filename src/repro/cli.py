@@ -671,7 +671,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="processes for the sweep (default: serial)",
+        help="processes for full sweeps, run on the sharded pool "
+        "(default: serial; early-exit sweeps always scan serially)",
     )
     hiding_parser.add_argument(
         "--no-disk-cache",

@@ -1,8 +1,8 @@
 """The hiding-decision engine: one entrypoint, declarative plans.
 
-This package unifies the repository's three hiding-decision paths
-(materialized sweep, streaming early-exit sweep, parallel builds of
-either) behind a single pipeline::
+This package puts every hiding decision (materialized sweep, streaming
+early-exit sweep, either one serial or on the sharded process pool)
+behind a single pipeline::
 
     plan = ExecutionPlan(backend="streaming", workers=4, disk_cache=True)
     verdict = decide_hiding(lcp, n=5, plan=plan)
@@ -21,10 +21,9 @@ either) behind a single pipeline::
 * :func:`register_backend` — the backend registry; new sweep strategies
   plug in without touching any call site.
 
-The legacy keyword surfaces (``hiding_verdict_up_to(streaming=...)``,
-``streaming_hiding_verdict_up_to``) remain as deprecation shims that
-translate through :func:`resolve_plan` — the one place the
-streaming-vs-materialized routing decision lives.
+:func:`resolve_plan` translates the legacy keyword vocabulary
+(``streaming=``/``workers=``/...) into a resolved plan — the one place
+the streaming-vs-materialized routing decision lives.
 """
 
 from .backends import (

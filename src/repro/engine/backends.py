@@ -6,8 +6,7 @@ witness, and (on conclusive non-hiding sweeps) the complete graph and
 coloring are byte-identical across backends, worker counts, and cache
 tiers.  Three ship today:
 
-* ``materialized`` — build all of ``V(D, n)`` (serial or process-pool),
-  then decide: BFS bipartition / DSATUR coloring on the finished graph.
+* ``materialized`` — build all of ``V(D, n)``, then decide: BFS bipartition / DSATUR coloring on the finished graph.
   The historical pipeline; its legacy envelope keeps the BFS witness
   walk the figure experiments pin.  An incremental parity detector rides
   along (``k = 2``) purely to report the canonical stream witness.
@@ -18,9 +17,12 @@ tiers.  Three ship today:
   :mod:`repro.kernel` evaluating the unanimity sweeps block-wise;
   capability-gated on numpy (see :class:`VectorizedBackend`).
 
-Registering a new backend is one class + one :func:`register_backend`
-call — sharded sweeps, async workers, or remote executors plug in here
-without touching any call site.
+Every backend sweeps on one of two routes: the serial builder
+(:func:`~repro.neighborhood.ngraph.build_neighborhood_graph`) or, for
+full orderly sweeps with ``workers > 1`` (or ``sharding="on"``), the
+sharded process pool of :mod:`repro.shard`.  Registering a new backend
+is one class + one :func:`register_backend` call — async workers or
+remote executors plug in here without touching any call site.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from ..neighborhood.aviews import (
     yes_instances_up_to,
 )
 from ..neighborhood.hiding import HidingVerdict, classic_verdict
-from ..neighborhood.ngraph import build_neighborhood_graph_auto
+from ..neighborhood.ngraph import build_neighborhood_graph
 from ..obs.logs import get_logger
 from ..obs.progress import counting_instances
 from ..perf.config import CONFIG
@@ -235,13 +237,14 @@ def _envelope(
     witness,
     elapsed: float,
     ctx: RunContext | None = None,
+    workers: int = 1,
     **flags,
 ) -> Verdict:
     g = legacy.ngraph
     provenance = Provenance(
         backend=plan.backend,
         n=n,
-        workers=plan.workers or 0,
+        workers=workers,
         early_exit=plan.early_exit,
         instances_scanned=g.instances_scanned,
         views=g.order,
@@ -334,6 +337,7 @@ def _run_sharded(
         kernel=kernel,
         sweep_key=disk_key(lcp, n, plan),
     )
+    flags["workers"] = outcome.workers_effective
     flags["shard_count"] = outcome.shard_count
     flags["steal_count"] = outcome.steal_count
     if outcome.shards_per_sec is not None:
@@ -450,10 +454,9 @@ class MaterializedBackend(Backend):
                         n,
                         ctx,
                     )
-                    ngraph = build_neighborhood_graph_auto(
+                    ngraph = build_neighborhood_graph(
                         lcp,
                         instances,
-                        workers=plan.workers,
                         stats=ctx.stats,
                         consumer=tracker,
                         into=into,
@@ -670,10 +673,9 @@ class StreamingBackend(Backend):
                             lo=lo,
                         )
                     else:
-                        build_neighborhood_graph_auto(
+                        build_neighborhood_graph(
                             lcp,
                             instances,
-                            workers=plan.workers,
                             stats=ctx.stats,
                             consumer=engine,
                             into=engine.ngraph,

@@ -13,9 +13,9 @@ PerfConfig` at decision time (:meth:`ExecutionPlan.resolve`), so a plan
 built once by a surface (CLI, runner, benchmark) picks up the session's
 knobs without re-reading globals itself.  :func:`resolve_plan` is the
 single translation from the legacy keyword vocabulary
-(``streaming=``/``workers=``/``disk_cache=``) into a plan — the CLI and
-the deprecation shims both delegate to it, so the streaming-vs-
-materialized choice lives in exactly one place.
+(``streaming=``/``workers=``/``disk_cache=``) into a plan — the CLI
+delegates to it, so the streaming-vs-materialized choice lives in one
+place.
 """
 
 from __future__ import annotations
@@ -46,9 +46,12 @@ class ExecutionPlan:
       importable — verdicts, witnesses, and provenance counts are
       byte-identical either way.
     * ``workers`` — processes for the enumeration scan; ``None`` defers
-      to ``CONFIG.workers``, ``0``/``1`` mean serial.  The verdict is
-      byte-identical for every worker count (the parallel builder
-      replays chunks in serial order).
+      to ``CONFIG.workers``, ``0``/``1`` mean serial.  Only the sharded
+      route (see ``sharding``) runs a process pool; every other sweep —
+      early-exit sweeps and ``symmetry="off"`` sweeps included — scans
+      serially, and ``Provenance.workers`` records the processes that
+      actually scanned.  The verdict is byte-identical for every worker
+      count (shard results replay in serial order).
     * ``early_exit`` — streaming backend only: stop the sweep at the
       first non-``k``-colorability witness.  ``False`` keeps the fused
       decision but still materializes the complete graph.
@@ -315,8 +318,7 @@ def resolve_plan(
     """The plan resolver: legacy keyword vocabulary → resolved plan.
 
     This is the only place the streaming-vs-materialized routing decision
-    is made.  ``streaming=None`` defers to ``config.streaming`` (the
-    historical behavior of ``hiding_verdict_up_to``); every other
+    is made.  ``streaming=None`` defers to ``config.streaming``; every other
     ``None`` likewise falls back to the config knob.  *backend* names a
     registered backend directly (the CLI's ``--backend``); it is
     mutually exclusive with the legacy *streaming* keyword.

@@ -45,6 +45,9 @@ class Provenance:
 
     backend: str
     n: int
+    #: Processes that actually scanned the enumeration: the pool size
+    #: when the sharded route ran its shard stage on a pool, 1 for every
+    #: in-process sweep, 0 for a disk reload (which scans nothing).
     workers: int
     early_exit: bool
     instances_scanned: int

@@ -59,7 +59,7 @@ def prime_family_cache(
 ) -> int:
     """Fill the cache from a parent-process *snapshot* without
     overwriting entries; returns how many were added.  Called by the
-    pool initializer of :mod:`repro.perf.parallel` so workers never
+    pool initializer of :mod:`repro.perf.pool` so workers never
     re-enumerate families the parent already has."""
     added = 0
     for key, graphs in snapshot.items():

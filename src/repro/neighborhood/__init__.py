@@ -14,19 +14,9 @@ from .hiding import (
     HidingVerdict,
     hiding_verdict_from_instances,
     hiding_verdict_on_witnesses,
-    hiding_verdict_up_to,
 )
-from .ngraph import (
-    GraphConsumer,
-    NeighborhoodGraph,
-    build_neighborhood_graph,
-    build_neighborhood_graph_auto,
-)
-from .streaming import (
-    StreamingHidingEngine,
-    clear_streaming_state,
-    streaming_hiding_verdict_up_to,
-)
+from .ngraph import GraphConsumer, NeighborhoodGraph, build_neighborhood_graph
+from .streaming import StreamingHidingEngine, clear_streaming_state
 
 __all__ = [
     "ExtractionDecoder",
@@ -38,14 +28,11 @@ __all__ = [
     "UNKNOWN_VIEW",
     "build_extraction_decoder",
     "build_neighborhood_graph",
-    "build_neighborhood_graph_auto",
     "clear_streaming_state",
     "hiding_verdict_from_instances",
     "hiding_verdict_on_witnesses",
-    "hiding_verdict_up_to",
     "labeled_yes_instances",
     "run_extraction",
-    "streaming_hiding_verdict_up_to",
     "yes_instances_between",
     "yes_instances_up_to",
 ]

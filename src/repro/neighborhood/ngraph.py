@@ -20,7 +20,7 @@ from ..graphs.properties import bipartition
 from ..local.instance import Instance
 from ..local.views import View, extract_all_views
 from ..obs.trace import NULL_TRACER, Tracer
-from ..perf.cache import memoized_decide
+from ..perf.cache import default_layout_cache, memoized_decide
 from ..perf.config import CONFIG
 from ..perf.stats import GLOBAL_STATS, PerfStats
 
@@ -142,22 +142,21 @@ class NeighborhoodGraph:
         return [self.views[j] for j in self.adjacency.get(idx, [])]
 
 
-def _labeled_views(lcp: LCP, instance: Instance, stats: PerfStats) -> dict[Node, View]:
-    """Views of every node of *instance*, through the layout cache.
+def labeled_views(
+    lcp: LCP, instance: Instance, layout_cache, stats: PerfStats
+) -> dict[Node, View]:
+    """Views of every node of *instance*, through *layout_cache* when given.
 
     The templates of one ``(graph, ports, ids)`` base are extracted once;
-    subsequent labelings of the same base only swap label tuples.
+    subsequent labelings of the same base only swap label tuples.  With
+    ``layout_cache=None`` every view is extracted afresh.
     """
     include_ids = not lcp.anonymous
-    if not CONFIG.layout_cache:
+    if layout_cache is None:
         views = extract_all_views(instance, lcp.radius, include_ids=include_ids)
         stats.incr("views_extracted", len(views))
         return views
-    from ..perf.cache import default_layout_cache  # noqa: PLC0415
-
-    return default_layout_cache().labeled_views(
-        instance, lcp.radius, include_ids, stats=stats
-    )
+    return layout_cache.labeled_views(instance, lcp.radius, include_ids, stats=stats)
 
 
 class GraphConsumer:
@@ -170,9 +169,10 @@ class GraphConsumer:
     ``done`` stops the scan on the spot (the streaming hiding engine does
     this the moment a non-``k``-colorability witness exists).
 
-    The event order is identical between the serial and parallel builders
-    for any worker count or chunking, so an early exit fires at the same
-    event everywhere — the parity guarantee the tests pin.
+    The event order is identical between the serial builder and the
+    sharded replay (:mod:`repro.shard`) for any worker count or shard
+    depth, so an early exit fires at the same event everywhere — the
+    parity guarantee the tests pin.
     """
 
     #: Builders stop scanning as soon as this turns True.
@@ -224,6 +224,7 @@ def build_neighborhood_graph(
         radius=lcp.radius, include_ids=not lcp.anonymous
     )
     decide = memoized_decide(lcp.decoder, stats=stats)
+    layout_cache = default_layout_cache() if CONFIG.layout_cache else None
     scanned = 0
     stopped = False
     # One-slot edge-list cache: the enumeration yields all labelings of a
@@ -234,7 +235,7 @@ def build_neighborhood_graph(
         with stats.time_stage("neighborhood_build"):
             for instance in labeled_instances:
                 scanned += 1
-                views = _labeled_views(lcp, instance, stats)
+                views = labeled_views(lcp, instance, layout_cache, stats)
                 votes = {v: decide(view) for v, view in views.items()}
                 indices = {}
                 for v, accepted in votes.items():
@@ -277,37 +278,3 @@ def build_neighborhood_graph(
     ngraph.instances_scanned += scanned
     stats.incr("instances_scanned", scanned)
     return ngraph
-
-
-def build_neighborhood_graph_auto(
-    lcp: LCP,
-    labeled_instances: Iterable[Instance],
-    workers: int | None = None,
-    stats: PerfStats | None = None,
-    consumer: GraphConsumer | None = None,
-    into: NeighborhoodGraph | None = None,
-    tracer: Tracer | None = None,
-) -> NeighborhoodGraph:
-    """Serial or parallel build, per *workers* (default: the global config).
-
-    The parallel builder produces an identical graph and fires consumer
-    events in the identical order; this dispatcher is what the CLI's
-    ``--workers`` flag, the experiment runner, and the streaming hiding
-    engine feed.
-    """
-    effective = CONFIG.workers if workers is None else workers
-    if effective and effective > 1:
-        from ..perf.parallel import build_neighborhood_graph_parallel  # noqa: PLC0415
-
-        return build_neighborhood_graph_parallel(
-            lcp,
-            labeled_instances,
-            workers=effective,
-            stats=stats,
-            consumer=consumer,
-            into=into,
-            tracer=tracer,
-        )
-    return build_neighborhood_graph(
-        lcp, labeled_instances, stats=stats, consumer=consumer, into=into, tracer=tracer
-    )

@@ -3,7 +3,7 @@ logging, and run reports — stdlib-only, zero-cost when off.
 
 * :mod:`repro.obs.trace` — :class:`Tracer` / :class:`Span`: the
   hierarchical span tree of a run (``decide_hiding`` → plan resolution →
-  backend → sweep → chunk/cache spans), thread-safe, with process-pool
+  backend → sweep → shard/cache spans), thread-safe, with process-pool
   worker spans merged via :meth:`Tracer.adopt` and a JSONL exporter.
   :data:`NULL_TRACER` is the free disabled default.
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry`: counters, gauges,

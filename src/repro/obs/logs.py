@@ -12,7 +12,7 @@ Logger names mirror the package layout::
 
     repro.engine         decision routing, cache-tier hits
     repro.perf.persist   disk store reads/writes/skips
-    repro.perf.parallel  pool fallbacks and chunk scheduling
+    repro.shard.executor pickling fallbacks of the shard pool
     repro.obs.report     run-report emission
 """
 

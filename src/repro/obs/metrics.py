@@ -47,7 +47,7 @@ DEFAULT_TIME_BUCKETS = (
 )
 
 #: Default buckets for dimensionless size distributions (views per
-#: labeling, instances per chunk, ...).
+#: labeling, instances per shard, ...).
 DEFAULT_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 

@@ -2,7 +2,7 @@
 
 A :class:`Tracer` records a tree of :class:`Span` objects — one span per
 pipeline stage (``decide_hiding`` → plan resolution → backend → sweep →
-chunk scans / cache tiers) — with wall-clock timing and free-form
+shard work units / cache tiers) — with wall-clock timing and free-form
 attributes (instances scanned, early-exit point, cache tier hit, worker
 pid).  Design constraints, in order:
 
@@ -10,7 +10,7 @@ pid).  Design constraints, in order:
    reference; the default is the process-wide :data:`NULL_TRACER`, whose
    ``span()`` is a no-op context manager yielding a shared dummy span.
    Hot loops are never instrumented per event — spans are per stage,
-   chunk, or sweep, so a traced run carries a few dozen spans, not
+   shard, or sweep, so a traced run carries a few dozen spans, not
    thousands.
 2. **Thread- and process-safe.**  Span stacks are thread-local (each
    thread nests independently under the tracer's root); the finished-span

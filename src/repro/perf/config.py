@@ -1,7 +1,7 @@
 """Tunable knobs for the V(D, n) fast path.
 
-One module-level :class:`PerfConfig` governs every cache and the parallel
-builder; experiments, the CLI (``--workers``), and the benchmarks mutate
+One module-level :class:`PerfConfig` governs every cache and the sharded
+process pool; experiments, the CLI (``--workers``), and the benchmarks mutate
 it through :func:`configure` or scope changes with :func:`overridden`.
 All caches default to on — the knobs exist so benchmarks can measure the
 unoptimized baseline and so pathological workloads can opt out.
@@ -49,12 +49,11 @@ class PerfConfig:
       :mod:`repro.graphs.families` (yielded graphs are defensive copies).
     * ``canonical_cache`` — memoize :func:`repro.graphs.encoding.canonical_form`
       by labelled graph key.
-    * ``workers`` — default worker count for the parallel
-      neighborhood-graph builder; ``0`` or ``1`` means serial.
-    * ``chunk_size`` — instances per parallel work unit (``None`` picks a
-      chunking that preserves base-instance locality).
-    * ``streaming`` — route the full Lemma 3.1 hiding sweeps
-      (:func:`repro.neighborhood.hiding.hiding_verdict_up_to`) through
+    * ``workers`` — default worker count plans resolve against; ``0`` or
+      ``1`` means serial.  More workers engage the sharded process pool
+      (:mod:`repro.shard`) on full orderly sweeps; every other sweep
+      runs serially.
+    * ``streaming`` — route plans left on ``backend="auto"`` through
       the streaming engine: the colorability decision is fused into the
       graph build and exits the moment a witness exists.  Callers that
       need the *complete* ``V(D, n)`` (e.g. chromatic-number
@@ -118,7 +117,6 @@ class PerfConfig:
     canonical_cache: bool = True
     canonical_cache_size: int = 65536
     workers: int = 0
-    chunk_size: int | None = None
     streaming: bool = False
     warm_start: bool = True
     disk_cache: bool = False

@@ -1,4 +1,4 @@
-"""A shared process pool for the parallel builder and the shard executor.
+"""A shared process pool for the shard executor.
 
 Pool spawn/teardown costs hundreds of milliseconds per worker — paying
 it once per campaign *cell* dominated small-cell sweeps.  This module
@@ -40,21 +40,16 @@ def pool_initializer(family_snapshot: dict, table_snapshot: dict) -> None:
     prime_kernel_tables(table_snapshot)
 
 
-def warm_snapshots() -> tuple[dict, dict]:
-    """The parent's current ``(family, kernel-table)`` warm state."""
+def make_pool(workers: int) -> ProcessPoolExecutor:
+    """A fresh pool whose workers start with the parent's current
+    ``(family, kernel-table)`` warm state."""
     from ..graphs.families import family_cache_snapshot  # noqa: PLC0415
     from ..kernel.tables import kernel_tables_snapshot  # noqa: PLC0415
 
-    return family_cache_snapshot(), kernel_tables_snapshot()
-
-
-def make_pool(workers: int) -> ProcessPoolExecutor:
-    """A fresh pool with the standard warm-state initializer."""
-    family_snapshot, table_snapshot = warm_snapshots()
     return ProcessPoolExecutor(
         max_workers=workers,
         initializer=pool_initializer,
-        initargs=(family_snapshot, table_snapshot),
+        initargs=(family_cache_snapshot(), kernel_tables_snapshot()),
     )
 
 

@@ -6,7 +6,7 @@ wall-clock time per named stage.  The builders update :data:`GLOBAL_STATS`
 by default; callers who want isolated measurements (benchmarks, tests)
 pass their own instance — the engine's :class:`~repro.engine.context.
 RunContext` threads one stats handle through the whole decision path, so
-parallel builds accumulate into worker-local instances and :meth:`merge`
+shard workers accumulate into worker-local instances and :meth:`merge`
 back instead of racing on the shared global.
 
 A stats object can additionally be *bound* to a

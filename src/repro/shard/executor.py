@@ -16,9 +16,9 @@ Lemma 3.1 instance stream through the neighborhood-graph builder:
    ascending minimal edge mask (classes have unique masks, and the
    serial walk emits each level mask-sorted, so the merged stream is
    byte-identical to the unsharded one) and replay through
-   :func:`repro.perf.parallel._replay_chunk` with exact per-instance
-   account deltas — consumer events, early exits, accounts, and
-   fingerprints all match the serial sweep.
+   :func:`_replay_block` with exact per-instance account deltas —
+   consumer events, early exits, accounts, and fingerprints all match
+   the serial sweep.
 
 An optional :class:`~repro.shard.queue.ShardQueue` coordinates multiple
 hosts draining one sweep directory: this host computes only the shards
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from ..neighborhood.aviews import labeled_yes_instances
 from ..obs.logs import get_logger
 from ..perf.config import CONFIG
-from ..perf.parallel import _replay_chunk
 from ..perf.stats import GLOBAL_STATS
 from ..symmetry.orderly import level_entries
 from .checkpoint import ShardCheckpointStore
@@ -80,6 +79,8 @@ class ShardSweepOutcome:
     steal_count: int = 0
     shards_per_sec: float | None = None
     checkpoint_hits: int = 0
+    #: Processes that scanned shards: the pool size when the shard stage
+    #: ran on a pool, else 1 (in-process shards, or no shard stage).
     workers_effective: int = 1
     stopped: bool = False
 
@@ -128,7 +129,7 @@ def run_sharded_sweep(
             "a ShardQueue needs checkpoints (disk_cache + shard_checkpoints "
             "+ sweep_key) — foreign shards are adopted from the store"
         )
-    outcome = ShardSweepOutcome(ngraph=ngraph, workers_effective=max(1, workers))
+    outcome = ShardSweepOutcome(ngraph=ngraph)
     with ctx.tracer.span(
         "shard:sweep", n=n, depth=depth, workers=workers, lo=lo
     ) as shard_span:
@@ -179,15 +180,7 @@ def run_sharded_sweep(
                     blocks.extend(results[shard.index]["sizes"].get(size, []))
                 blocks.sort(key=lambda block: block["mask"])
                 for block in blocks:
-                    stopped = _replay_chunk(
-                        ngraph,
-                        block["instances"],
-                        block["results"],
-                        ctx.stats,
-                        consumer,
-                        deltas=block["deltas"] if account is not None else None,
-                        account=account,
-                    )
+                    stopped = _replay_block(ngraph, block, ctx.stats, consumer, account)
                     if stopped:
                         outcome.stopped = True
                         break
@@ -276,6 +269,7 @@ def _drain_shards(
     if use_pool:
         from ..perf.pool import active_pool, make_pool  # noqa: PLC0415
 
+        outcome.workers_effective = workers
         pool = active_pool(workers)
         own_pool = pool is None
         if own_pool:
@@ -331,6 +325,42 @@ def _drain_shards(
         outcome.shards_per_sec = len(spec.shards) / elapsed
     ctx.stats.incr("shards_completed", executed)
     return results
+
+
+def _replay_block(ngraph, block: dict, stats, consumer, account) -> bool:
+    """Replay one emitted graph's shard scan into the parent graph, in
+    serial order.
+
+    Returns True when the consumer signalled ``done`` mid-replay; the
+    replay stops at that exact event, so the assembled graph matches the
+    serial builder's early-exit prefix byte for byte.  Each instance's
+    account delta (:meth:`SymmetryAccount.as_tuple` format) is folded
+    into *account* immediately before the instance replays, so an early
+    exit leaves the account exactly where the serial sweep's abandoned
+    generator would have.
+    """
+    for instance, (accepting, edges), delta in zip(
+        block["instances"], block["results"], block["deltas"]
+    ):
+        if account is not None:
+            account.add_delta(delta)
+        ngraph.instances_scanned += 1
+        stats.incr("instances_scanned")
+        indices = {}
+        for v, view in accepting:
+            idx, created = ngraph.add_view_tracked(view, instance, v)
+            indices[v] = idx
+            if created and consumer is not None:
+                consumer.on_view(idx, view)
+                if consumer.done:
+                    return True
+        for u, v in edges:
+            created = ngraph.add_edge_tracked(indices[u], indices[v], instance, (u, v))
+            if created and consumer is not None:
+                consumer.on_edge(indices[u], indices[v])
+                if consumer.done:
+                    return True
+    return False
 
 
 def _picklable(lcp, stats) -> bool:

@@ -1,16 +1,12 @@
-"""Deprecation shims: the legacy keyword surfaces still work, still give
-correct verdicts, and warn exactly once per process per surface."""
+"""Pre-engine compatibility: verdict-cache entries written before the
+engine existed keep their content addresses and still load."""
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
 from repro.core import DegreeOneLCP
 from repro.engine import ExecutionPlan, clear_engine_state, decide_hiding
-from repro.neighborhood import hiding_verdict_up_to, streaming_hiding_verdict_up_to
-from repro.neighborhood.hiding import HidingVerdict, _reset_deprecation_guards
 from repro.perf import overridden
 from repro.perf.persist import default_verdict_cache
 
@@ -18,98 +14,8 @@ from repro.perf.persist import default_verdict_cache
 @pytest.fixture(autouse=True)
 def _fresh_state():
     clear_engine_state()
-    _reset_deprecation_guards()
     yield
     clear_engine_state()
-    _reset_deprecation_guards()
-
-
-def test_streaming_keyword_warns_exactly_once():
-    lcp = DegreeOneLCP()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        hiding_verdict_up_to(lcp, 3, streaming=False)
-        hiding_verdict_up_to(lcp, 4, streaming=False)
-        hiding_verdict_up_to(lcp, 3, streaming=True)
-    deprecations = [w for w in caught if w.category is DeprecationWarning]
-    assert len(deprecations) == 1
-    assert "ExecutionPlan" in str(deprecations[0].message)
-
-
-def test_plain_call_does_not_warn():
-    lcp = DegreeOneLCP()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        hiding_verdict_up_to(lcp, 3)
-    assert [w for w in caught if w.category is DeprecationWarning] == []
-
-
-def test_streaming_front_warns_exactly_once():
-    lcp = DegreeOneLCP()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        streaming_hiding_verdict_up_to(lcp, 3, warm_start=False, disk_cache=False)
-        streaming_hiding_verdict_up_to(lcp, 4, warm_start=False, disk_cache=False)
-    deprecations = [w for w in caught if w.category is DeprecationWarning]
-    assert len(deprecations) == 1
-
-
-def test_both_shims_warn_once_each_in_one_process():
-    """The two shims guard independently: interleaving them in one
-    process yields exactly one warning per shim (two total), and every
-    repeat after that stays silent."""
-    lcp = DegreeOneLCP()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        hiding_verdict_up_to(lcp, 3, streaming=False)
-        streaming_hiding_verdict_up_to(lcp, 3, warm_start=False, disk_cache=False)
-        hiding_verdict_up_to(lcp, 4, streaming=True)
-        streaming_hiding_verdict_up_to(lcp, 4, warm_start=False, disk_cache=False)
-    deprecations = [w for w in caught if w.category is DeprecationWarning]
-    assert len(deprecations) == 2
-    messages = sorted(str(w.message) for w in deprecations)
-    assert messages[0] != messages[1]
-    with warnings.catch_warnings(record=True) as repeat:
-        warnings.simplefilter("always")
-        hiding_verdict_up_to(lcp, 3, streaming=False)
-        streaming_hiding_verdict_up_to(lcp, 3, warm_start=False, disk_cache=False)
-    assert [w for w in repeat if w.category is DeprecationWarning] == []
-
-
-def test_shimmed_verdicts_match_the_engine():
-    lcp = DegreeOneLCP()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy_mat = hiding_verdict_up_to(lcp, 4, streaming=False)
-        legacy_stream = streaming_hiding_verdict_up_to(
-            lcp, 4, warm_start=False, disk_cache=False
-        )
-    assert isinstance(legacy_mat, HidingVerdict)
-    assert isinstance(legacy_stream, HidingVerdict)
-    engine_mat = decide_hiding(
-        lcp, 4, ExecutionPlan(backend="materialized", disk_cache=False)
-    )
-    engine_stream = decide_hiding(
-        lcp,
-        4,
-        ExecutionPlan(backend="streaming", warm_start=False, disk_cache=False),
-    )
-    # The shim returns the engine verdict's legacy envelope — and the
-    # memo tier makes repeated asks hand back the very same object.
-    assert legacy_mat is engine_mat.legacy
-    assert legacy_stream is engine_stream.legacy
-    assert legacy_mat.hiding is True
-    assert len(legacy_mat.odd_cycle) == 8  # historical BFS walk
-
-
-def test_shim_routing_is_the_engines():
-    """The config knob routes the plain call exactly like a plan left on
-    auto — no routing logic hides in the shim."""
-    lcp = DegreeOneLCP()
-    with overridden(streaming=True):
-        via_shim = hiding_verdict_up_to(lcp, 4)
-        via_engine = decide_hiding(lcp, 4)
-    assert via_shim is via_engine.legacy
 
 
 def test_pre_engine_disk_entries_still_load(tmp_path):

@@ -55,49 +55,59 @@ def _grid_backends():
     return backends
 
 
+#: The worker axis of the grid: serial, two workers on the default route
+#: (early exit on, so the sweep stays serial except where a full sweep
+#: can shard), and two workers with sharding off (always serial).
+_WORKER_VARIANTS = (
+    ("w1", {"workers": 1}),
+    ("w2-early-exit", {"workers": 2, "early_exit": True}),
+    ("w2-sharding-off", {"workers": 2, "sharding": "off"}),
+)
+
+
 def _plan_grid(tmp_path):
     """Every (backend × workers × cache tier) combination of the
     acceptance criterion.  Disk-tier plans get a private cache dir."""
     plans = []
     for backend in _grid_backends():
-        for workers in (1, 2):
+        for variant, fields in _WORKER_VARIANTS:
             plans.append(
                 (
-                    f"{backend}-w{workers}-nocache",
+                    f"{backend}-{variant}-nocache",
                     ExecutionPlan(
                         backend=backend,
-                        workers=workers,
                         warm_start=False,
                         memory_cache=False,
                         disk_cache=False,
+                        **fields,
                     ),
                     None,
                 )
             )
             plans.append(
                 (
-                    f"{backend}-w{workers}-memory",
+                    f"{backend}-{variant}-memory",
                     ExecutionPlan(
                         backend=backend,
-                        workers=workers,
                         warm_start=False,
                         memory_cache=True,
                         disk_cache=False,
+                        **fields,
                     ),
                     None,
                 )
             )
             plans.append(
                 (
-                    f"{backend}-w{workers}-memory+disk",
+                    f"{backend}-{variant}-memory+disk",
                     ExecutionPlan(
                         backend=backend,
-                        workers=workers,
                         warm_start=False,
                         memory_cache=True,
                         disk_cache=True,
+                        **fields,
                     ),
-                    str(tmp_path / f"{backend}-w{workers}"),
+                    str(tmp_path / f"{backend}-{variant}"),
                 )
             )
     return plans
@@ -172,6 +182,36 @@ def test_every_campaign_cell_is_plan_equivalent(tmp_path):
             f"{cell.label()}: plans disagree: "
             f"{ {label: fp[:60] for label, fp in fingerprints.items()} }"
         )
+
+
+@pytest.mark.parametrize("scheme", ["degree-one", "even-cycle"])
+def test_worker_variants_scan_what_serial_scans_at_n6(scheme):
+    """Asking for two workers never changes how much an early-exit sweep
+    scans: every worker variant stops at the same instance as the serial
+    sweep (same ``instances_scanned``, same fingerprint) and reports the
+    one process that scanned.  Early exit only exists on the streaming
+    backends; the materialized backend always sweeps in full."""
+    lcp = make_lcp(scheme)
+    for backend in _grid_backends():
+        if backend == BACKEND_MATERIALIZED:
+            continue
+        seen = {}
+        for variant, fields in _WORKER_VARIANTS:
+            clear_engine_state()
+            plan = ExecutionPlan(
+                backend=backend,
+                warm_start=False,
+                memory_cache=False,
+                disk_cache=False,
+                **fields,
+            )
+            verdict = decide_hiding(lcp, 6, plan, ctx=RunContext.isolated())
+            assert verdict.provenance.workers == 1, (backend, variant)
+            seen[variant] = (
+                verdict.provenance.instances_scanned,
+                verdict.decision_fingerprint(),
+            )
+        assert len(set(seen.values())) == 1, (backend, seen)
 
 
 @pytest.mark.parametrize("scheme", ["degree-one", "revealing", "even-cycle"])

@@ -297,9 +297,9 @@ SHIM_NAMES = {"hiding_verdict_up_to", "streaming_hiding_verdict_up_to"}
 
 
 def test_src_repro_never_calls_the_deprecation_shims():
-    """Satellite guarantee: the library itself is shim-free — every
-    internal decision goes through ``repro.engine.decide_hiding``.  The
-    shims stay importable for external consumers only."""
+    """The library is shim-free — every internal decision goes through
+    ``repro.engine.decide_hiding``; the removed legacy fronts must not
+    creep back in under their old names."""
     src = Path(__file__).resolve().parent.parent / "src" / "repro"
     offenders = []
     for path in sorted(src.rglob("*.py")):

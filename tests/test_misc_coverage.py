@@ -173,3 +173,139 @@ class TestReprs:
 
         assert "PortAssignment" in repr(PortAssignment.canonical(path_graph(2)))
         assert "max=2" in repr(IdentifierAssignment.canonical(path_graph(2)))
+
+
+def test_public_surface_of_the_decision_packages():
+    """Pin the public names of the packages every sweep goes through:
+    each one imports, and ``__all__`` lists exactly these."""
+    import repro.engine
+    import repro.neighborhood
+    import repro.perf
+    import repro.shard
+    from repro.engine import (
+        BACKEND_AUTO,
+        BACKEND_MATERIALIZED,
+        BACKEND_STREAMING,
+        BACKEND_VECTORIZED,
+        ENGINE_VERSION,
+        Backend,
+        DiskVerdictStore,
+        ExecutionPlan,
+        MaterializedBackend,
+        MemoryVerdictStore,
+        Provenance,
+        RunContext,
+        StreamingBackend,
+        VectorizedBackend,
+        Verdict,
+        VerdictStore,
+        available_backends,
+        clear_engine_state,
+        clear_memory_store,
+        clear_warm_states,
+        decide_hiding,
+        get_backend,
+        register_backend,
+        resolve_plan,
+        shared_memory_store,
+    )
+    from repro.neighborhood import (
+        UNKNOWN_VIEW,
+        ExtractionDecoder,
+        ExtractionOutcome,
+        GraphConsumer,
+        HidingVerdict,
+        NeighborhoodGraph,
+        StreamingHidingEngine,
+        build_extraction_decoder,
+        build_neighborhood_graph,
+        clear_streaming_state,
+        hiding_verdict_from_instances,
+        hiding_verdict_on_witnesses,
+        labeled_yes_instances,
+        run_extraction,
+        yes_instances_between,
+        yes_instances_up_to,
+    )
+    from repro.perf import (
+        CACHE_VERSION,
+        CONFIG,
+        GLOBAL_STATS,
+        DecisionMemo,
+        LRUCache,
+        PerfConfig,
+        PerfStats,
+        PersistentVerdictCache,
+        ViewLayoutCache,
+        cache_dir,
+        clear_shared_caches,
+        configure,
+        default_layout_cache,
+        default_verdict_cache,
+        layouts_for_instance,
+        memoized_decide,
+        overridden,
+        shared_decision_memo,
+    )
+    from repro.shard import (
+        Shard,
+        ShardCheckpointStore,
+        ShardQueue,
+        ShardSpec,
+        plan_shards,
+        run_sharded_sweep,
+        sharding_effective,
+    )
+
+    surface = {
+        repro.engine: [
+            BACKEND_AUTO, BACKEND_MATERIALIZED, BACKEND_STREAMING, BACKEND_VECTORIZED,
+            ENGINE_VERSION, Backend, DiskVerdictStore, ExecutionPlan,
+            MaterializedBackend, MemoryVerdictStore, Provenance, RunContext,
+            StreamingBackend, VectorizedBackend, Verdict, VerdictStore,
+            available_backends, clear_engine_state, clear_memory_store,
+            clear_warm_states, decide_hiding, get_backend, register_backend,
+            resolve_plan, shared_memory_store,
+        ],
+        repro.neighborhood: [
+            UNKNOWN_VIEW, ExtractionDecoder, ExtractionOutcome, GraphConsumer,
+            HidingVerdict, NeighborhoodGraph, StreamingHidingEngine,
+            build_extraction_decoder, build_neighborhood_graph, clear_streaming_state,
+            hiding_verdict_from_instances, hiding_verdict_on_witnesses,
+            labeled_yes_instances, run_extraction, yes_instances_between,
+            yes_instances_up_to,
+        ],
+        repro.perf: [
+            CACHE_VERSION, CONFIG, GLOBAL_STATS, DecisionMemo, LRUCache, PerfConfig,
+            PerfStats, PersistentVerdictCache, ViewLayoutCache, cache_dir,
+            clear_shared_caches, configure, default_layout_cache,
+            default_verdict_cache, layouts_for_instance, memoized_decide, overridden,
+            shared_decision_memo,
+        ],
+        repro.shard: [
+            Shard, ShardCheckpointStore, ShardQueue, ShardSpec, plan_shards,
+            run_sharded_sweep, sharding_effective,
+        ],
+    }
+    for module, objects in surface.items():
+        for o in objects:
+            assert o is not None
+        assert len(module.__all__) == len(objects), module.__name__
+        for name in module.__all__:
+            assert getattr(module, name) is not None
+
+    # The one pool route leaves no second builder behind: no extra
+    # perf modules, and no config knob beyond these.
+    import pkgutil
+    from dataclasses import fields
+
+    assert {m.name for m in pkgutil.iter_modules(repro.perf.__path__)} == {
+        "cache", "config", "persist", "pool", "stats",
+    }
+    assert {f.name for f in fields(PerfConfig)} == {
+        "layout_cache", "layout_cache_size", "decision_memo", "decision_memo_size",
+        "family_cache", "canonical_cache", "canonical_cache_size", "workers",
+        "streaming", "warm_start", "disk_cache", "disk_cache_dir", "symmetry",
+        "kernel_block_size", "generation_kernel", "sharding", "shard_depth",
+        "shard_checkpoints",
+    }

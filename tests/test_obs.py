@@ -130,13 +130,13 @@ def test_null_tracer_records_nothing():
 def test_adopt_reparents_worker_records():
     tracer = Tracer()
     records: list = []
-    with worker_span("worker:scan-chunk", records, worker_pid=123, chunk_index=0):
+    with worker_span("worker:shard", records, worker_pid=123, shard_index=0):
         pass
     with tracer.span("build") as build:
         tracer.adopt(records, parent=build)
     spans = tracer.finished_spans()
     by_name = {r["name"]: r for r in spans}
-    worker = by_name["worker:scan-chunk"]
+    worker = by_name["worker:shard"]
     assert worker["parent_id"] == by_name["build"]["span_id"]
     assert worker["trace_id"] == tracer.trace_id
     assert worker["attributes"]["worker_pid"] == 123
@@ -323,36 +323,39 @@ def test_memo_hit_keeps_original_trace_id():
 
 
 def test_parallel_span_tree_integrity_and_parity():
-    """workers=2: every worker span has a parent in the merged tree, and
-    the traced parallel decision matches the serial one exactly."""
+    """workers=2 on the sharded pool: every worker span has a parent in
+    the merged tree, and the traced parallel decision matches the serial
+    one exactly."""
     lcp = DegreeOneLCP()
     serial = decide_hiding(lcp, 5, _plan(workers=1), ctx=RunContext.isolated())
 
     tracer = Tracer()
     ctx = RunContext.observed(tracer)
-    parallel = decide_hiding(lcp, 5, _plan(workers=2), ctx=ctx)
+    # A full sweep: an early exit would stop in the serial prefix,
+    # before any shard runs.
+    pooled_plan = _plan(workers=2, sharding="on", early_exit=False)
+    parallel = decide_hiding(lcp, 5, pooled_plan, ctx=ctx)
 
     assert parallel.decision_fingerprint() == serial.decision_fingerprint()
     assert parallel.witness == serial.witness
 
     records = tracer.finished_spans()
     ids = {r["span_id"] for r in records}
-    workers = [r for r in records if r["name"] == "worker:scan-chunk"]
+    workers = [r for r in records if r["name"] == "worker:shard"]
     assert workers, "parallel sweep recorded no worker spans"
     for record in workers:
         assert record["parent_id"] in ids, "worker span left dangling"
         assert record["trace_id"] == tracer.trace_id
         assert record["attributes"]["worker_pid"]
-    replays = [r for r in records if r["name"] == "chunk-replay"]
-    assert replays
-    # chunks replay in submission order
-    indices = sorted(r["attributes"]["chunk_index"] for r in replays)
-    assert indices == list(range(len(replays)))
+    # every shard ran exactly once, and its results replayed in the parent
+    indices = sorted(r["attributes"]["shard_index"] for r in workers)
+    assert indices == list(range(parallel.provenance.shard_count))
+    assert [r for r in records if r["name"] == "shard:replay"]
     # the whole tree remains single-rooted and valid per the report gate
     assert len(span_tree(records)) == 1
     report = RunReport.from_run(
         tracer=tracer, metrics=ctx.metrics, stats=ctx.stats,
-        verdict=parallel, plan=_plan(workers=2), scheme=lcp.name, n=5,
+        verdict=parallel, plan=pooled_plan, scheme=lcp.name, n=5,
     )
     assert validate_report(report.payload) == []
 

@@ -4,7 +4,7 @@ Pins the live-telemetry contract: bus semantics (in-line fan-out in
 subscription order, raising subscribers counted but never fatal), the
 `instances_scanned` delta wrapper, the TTY renderer's EMA-based ETA,
 the JSONL sink's joinability via ``trace_id``, event ordering under the
-process-pool builder, and — the acceptance invariant — byte-identical
+sharded process pool, and — the acceptance invariant — byte-identical
 decision fingerprints whether anyone is watching or not.
 """
 
@@ -303,22 +303,27 @@ def test_instance_deltas_sum_to_provenance_count():
 
 
 def test_event_ordering_under_process_pool_builder():
-    """With the process-pool builder (workers=2) the instance stream is
-    still consumed — and its deltas emitted — in the parent process, so
-    subscribers observe a well-ordered stream: started, deltas with
-    monotone totals, finished."""
+    """On the sharded process pool (workers=2) every shard event is
+    emitted from the parent process, so subscribers observe a
+    well-ordered stream: started, each shard started before it finished,
+    every shard finished exactly once, finished."""
     verdict, records = _decide_with_recorder(
-        _plan(backend="materialized", workers=2, symmetry="off"), n=6
+        _plan(backend="materialized", workers=2, sharding="on"), n=6
     )
+    assert verdict.provenance.workers == 2
     kinds = [r["event"] for r in records]
     assert kinds[0] == "decision_started"
     assert kinds[-1] == "decision_finished"
-    assert all(kind == "instances_scanned" for kind in kinds[1:-1])
-    totals = [r["total"] for r in records if r["event"] == "instances_scanned"]
-    assert totals == sorted(totals)
-    assert sum(
-        r["delta"] for r in records if r["event"] == "instances_scanned"
-    ) == verdict.provenance.instances_scanned
+    assert set(kinds[1:-1]) == {"shard_started", "shard_finished"}
+    started: set = set()
+    finished: list = []
+    for record in records[1:-1]:
+        if record["event"] == "shard_started":
+            started.add(record["index"])
+        else:
+            assert record["index"] in started, "shard finished before it started"
+            finished.append(record["index"])
+    assert sorted(finished) == list(range(verdict.provenance.shard_count))
 
 
 def test_unobserved_run_skips_instance_wrapper():

@@ -17,11 +17,8 @@ from repro.core import DegreeOneLCP, EvenCycleLCP, RevealingLCP
 from repro.graphs.graph import Graph
 from repro.graphs.incremental import IncrementalKColoring, ParityForest
 from repro.graphs.properties import is_odd_closed_walk
-from repro.neighborhood import (
-    build_extraction_decoder,
-    hiding_verdict_up_to,
-    streaming_hiding_verdict_up_to,
-)
+from repro.engine import ExecutionPlan, RunContext, decide_hiding
+from repro.neighborhood import build_extraction_decoder
 from repro.neighborhood.streaming import clear_streaming_state
 from repro.perf import PerfStats, overridden
 from repro.perf.persist import PersistentVerdictCache
@@ -39,19 +36,26 @@ def _fresh_streaming_state():
 # ----------------------------------------------------------------------
 
 
+def _materialized(lcp, n):
+    return decide_hiding(lcp, n, ExecutionPlan(backend="materialized"))
+
+
+def _streamed(lcp, n, stats=None, **plan):
+    ctx = RunContext(stats=stats) if stats is not None else None
+    return decide_hiding(lcp, n, ExecutionPlan(backend="streaming", **plan), ctx=ctx)
+
+
 def _assert_parity(lcp, n, workers):
-    materialized = hiding_verdict_up_to(lcp, n, streaming=False)
-    streamed = streaming_hiding_verdict_up_to(
-        lcp, n, workers=workers, warm_start=False, disk_cache=False
-    )
+    materialized = _materialized(lcp, n)
+    streamed = _streamed(lcp, n, workers=workers, warm_start=False, disk_cache=False)
     assert streamed.hiding == materialized.hiding
     if streamed.hiding:
         # The witness need not be the identical walk, but it must be a
         # genuine odd closed walk of adjacent views in the streamed graph.
         if lcp.k == 2:
-            assert streamed.odd_cycle is not None
+            assert streamed.witness is not None
             g = streamed.ngraph
-            walk = [g.index[view] for view in streamed.odd_cycle]
+            walk = [g.index[view] for view in streamed.witness]
             assert is_odd_closed_walk(g.to_graph(), walk)
         # Early exit: never scan more than the full enumeration.
         assert (
@@ -92,10 +96,8 @@ def test_non_hiding_extraction_decoders_are_equal():
     """On non-hiding sweeps the streamed graph feeds the extraction
     direction of Lemma 3.2 exactly as the materialized one does."""
     lcp = RevealingLCP()
-    materialized = hiding_verdict_up_to(lcp, 4, streaming=False)
-    streamed = streaming_hiding_verdict_up_to(
-        lcp, 4, warm_start=False, disk_cache=False
-    )
+    materialized = _materialized(lcp, 4)
+    streamed = _streamed(lcp, 4, warm_start=False, disk_cache=False)
     dec_m = build_extraction_decoder(materialized.ngraph, k=2)
     dec_s = build_extraction_decoder(streamed.ngraph, k=2)
     assert dec_m._table == dec_s._table
@@ -103,11 +105,9 @@ def test_non_hiding_extraction_decoders_are_equal():
 
 def test_early_exit_scans_fewer_instances():
     lcp = DegreeOneLCP()
-    materialized = hiding_verdict_up_to(lcp, 4, streaming=False)
+    materialized = _materialized(lcp, 4)
     stats = PerfStats()
-    streamed = streaming_hiding_verdict_up_to(
-        lcp, 4, stats=stats, warm_start=False, disk_cache=False
-    )
+    streamed = _streamed(lcp, 4, stats=stats, warm_start=False, disk_cache=False)
     assert streamed.hiding is True
     assert stats.get("streaming_early_exits") >= 1
     assert (
@@ -115,15 +115,17 @@ def test_early_exit_scans_fewer_instances():
     )
 
 
-def test_hiding_verdict_up_to_streaming_route():
-    """The ``streaming=`` parameter and the global config knob both route
-    through the engine; the flag parity holds either way."""
+def test_streaming_route_via_plan_and_config():
+    """An explicit streaming plan and the global config knob (a plan left
+    on ``backend="auto"``) both route through the engine; the flag parity
+    holds either way."""
     lcp = DegreeOneLCP()
-    materialized = hiding_verdict_up_to(lcp, 4, streaming=False)
-    routed = hiding_verdict_up_to(lcp, 4, streaming=True)
+    materialized = _materialized(lcp, 4)
+    routed = _streamed(lcp, 4)
     assert routed.hiding == materialized.hiding
     with overridden(streaming=True):
-        via_config = hiding_verdict_up_to(lcp, 4)
+        via_config = decide_hiding(lcp, 4)
+    assert via_config.provenance.backend != "materialized"
     assert via_config.hiding == materialized.hiding
 
 
@@ -277,20 +279,16 @@ class TestPersistentCache:
         lcp = DegreeOneLCP()
         with overridden(disk_cache_dir=str(tmp_path)):
             stats = PerfStats()
-            first = streaming_hiding_verdict_up_to(
-                lcp, 4, stats=stats, warm_start=False, disk_cache=True
-            )
+            first = _streamed(lcp, 4, stats=stats, warm_start=False, disk_cache=True)
             assert stats.get("persist_writes") == 1
             clear_streaming_state()
             stats = PerfStats()
-            second = streaming_hiding_verdict_up_to(
-                lcp, 4, stats=stats, warm_start=False, disk_cache=True
-            )
+            second = _streamed(lcp, 4, stats=stats, warm_start=False, disk_cache=True)
             assert stats.get("disk_hits") == 1
         assert second.hiding == first.hiding
         assert second.ngraph.views == first.ngraph.views
         assert second.ngraph.edges == first.ngraph.edges
-        assert second.odd_cycle == first.odd_cycle
+        assert second.witness == first.witness
         assert first.ngraph.has_provenance
         assert not second.ngraph.has_provenance
 
@@ -306,15 +304,11 @@ class TestWarmStart:
         cold = {}
         for n in (3, 4, 5):
             clear_streaming_state()
-            cold[n] = streaming_hiding_verdict_up_to(
-                lcp, n, warm_start=False, disk_cache=False
-            )
+            cold[n] = _streamed(lcp, n, warm_start=False, disk_cache=False)
         clear_streaming_state()
         stats = PerfStats()
         for n in (3, 4, 5):
-            warm = streaming_hiding_verdict_up_to(
-                lcp, n, stats=stats, warm_start=True, disk_cache=False
-            )
+            warm = _streamed(lcp, n, stats=stats, warm_start=True, disk_cache=False)
             assert warm.hiding == cold[n].hiding
             assert warm.ngraph.views == cold[n].ngraph.views
             assert warm.ngraph.edges == cold[n].ngraph.edges
@@ -322,9 +316,9 @@ class TestWarmStart:
 
     def test_witness_short_circuits_larger_n(self):
         lcp = DegreeOneLCP()
-        streaming_hiding_verdict_up_to(lcp, 4, disk_cache=False)
+        _streamed(lcp, 4, disk_cache=False)
         stats = PerfStats()
-        v5 = streaming_hiding_verdict_up_to(lcp, 5, stats=stats, disk_cache=False)
+        v5 = _streamed(lcp, 5, stats=stats, disk_cache=False)
         assert v5.hiding is True
         assert stats.get("warm_witness_hits") == 1
         # No new instances were scanned for n = 5.
@@ -332,9 +326,9 @@ class TestWarmStart:
 
     def test_warm_state_not_mutated_by_resume(self):
         lcp = RevealingLCP()
-        v3 = streaming_hiding_verdict_up_to(lcp, 3, disk_cache=False)
+        v3 = _streamed(lcp, 3, disk_cache=False)
         views_before = list(v3.ngraph.views)
-        streaming_hiding_verdict_up_to(lcp, 4, disk_cache=False)
+        _streamed(lcp, 4, disk_cache=False)
         assert v3.ngraph.views == views_before
 
 
@@ -345,7 +339,7 @@ class TestWarmStart:
 
 class TestWitnessRegressions:
     def test_degree_one_n4_walk_length(self):
-        verdict = hiding_verdict_up_to(DegreeOneLCP(), 4, streaming=False)
+        verdict = _materialized(DegreeOneLCP(), 4).legacy
         assert verdict.hiding is True
         # Closed walk [v0, ..., v6, v0]: 8 entries, 7 views, 7 edges.
         assert len(verdict.odd_cycle) == 8
@@ -354,7 +348,7 @@ class TestWitnessRegressions:
         assert "odd closed walk of 7 views" in verdict.summary()
 
     def test_even_cycle_n6_loop_witness(self):
-        verdict = hiding_verdict_up_to(EvenCycleLCP(), 6, streaming=False)
+        verdict = _materialized(EvenCycleLCP(), 6).legacy
         assert verdict.hiding is True
         # The 2-labeled-cycles witness collapses to a self-loop: a view
         # adjacent to itself is an odd closed walk of length 1.
@@ -367,7 +361,7 @@ class TestWitnessRegressions:
         walk, which equals the number of distinct view *slots* traversed
         — the convention `summary()` reports.  (Checked against
         `find_odd_cycle`'s ``[v0, ..., vk, v0]`` shape.)"""
-        verdict = hiding_verdict_up_to(DegreeOneLCP(), 4, streaming=False)
+        verdict = _materialized(DegreeOneLCP(), 4).legacy
         walk = [verdict.ngraph.index[v] for v in verdict.odd_cycle]
         edge_count = len(walk) - 1
         assert is_odd_closed_walk(verdict.ngraph.to_graph(), walk)
